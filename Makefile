@@ -40,13 +40,14 @@ fuzz-smoke:
 
 # The chaos gate: the store-level crash-point sweep (every filesystem
 # operation in the put/append/compaction workload killed once, recovery
-# digest-verified) plus the service-level failure tests (admission
+# digest-verified), the compaction tests (appends and readers racing an
+# unlocked snapshot rewrite) plus the service-level failure tests (admission
 # overload, panic containment, degraded read-only mode, drain deadline),
 # all under the race detector. CI sets CHAOSFLAGS=-v to capture the
 # per-crash-point fault logs as an artifact.
 CHAOSFLAGS ?=
 chaos-smoke:
-	$(GO) test $(CHAOSFLAGS) -race -run='^TestCrash|^TestAppendRollback' ./internal/store/
+	$(GO) test $(CHAOSFLAGS) -race -run='^TestCrash|^TestAppendRollback|^TestCompaction' ./internal/store/
 	$(GO) test $(CHAOSFLAGS) -race -run='^TestAdmission|^TestPanic|^TestDegraded|^TestCloseTimeout' ./internal/service/
 	$(GO) test $(CHAOSFLAGS) -race ./internal/fault/ ./internal/retry/
 	$(MAKE) repl-chaos-smoke

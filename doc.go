@@ -80,9 +80,11 @@
 // suite: an in-memory map (the default) and a durable disk store
 // (wccserve -data-dir). The durable backend keeps, per graph, a binary
 // CSR snapshot file plus an fsync'd append-only edge-batch WAL, both
-// digest-verified and replayed on boot, with background compaction
-// folding WAL batches that outgrow the retained version window into a
-// fresh snapshot; a restarted server answers the same queries (same
+// digest-verified and replayed on boot, with amortized background
+// compaction: once a full extra retained window of batches has piled up,
+// the batches below the window are folded into a fresh snapshot written
+// without holding the graph's lock, so appends never wait for it; a
+// restarted server answers the same queries (same
 // IDs, versions, chained digests) it did before SIGTERM. Eviction under
 // MaxGraphs pressure is LRU by last access, so hot graphs survive. The
 // snapshot format is the varint-delta binary CSR codec of

@@ -395,17 +395,14 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if req.Version != nil {
 		version = *req.Version
 	}
-	if req.Algo == "" {
-		req.Algo = s.cfg.DefaultAlgo
-	}
 	if err := validateAlgoOptions(req.Lambda, req.Memory); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	spec := SolveSpec{
+	spec := s.withDefaultAlgo(SolveSpec{
 		GraphID: req.Graph, Version: version, Algo: req.Algo, Lambda: req.Lambda,
 		Seed: req.Seed, Memory: req.Memory, Workers: req.Workers,
-	}
+	})
 	job, err := s.Submit(spec)
 	if err != nil {
 		writeError(w, statusFor(err), err)
@@ -455,12 +452,9 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 // triple that cost on the hottest endpoint. An absent ?algo= selects
 // the configured default algorithm (Config.DefaultAlgo).
 func (s *Service) querySpec(q url.Values) (SolveSpec, error) {
-	spec := SolveSpec{GraphID: q.Get("graph"), Version: -1, Algo: q.Get("algo")}
+	spec := s.withDefaultAlgo(SolveSpec{GraphID: q.Get("graph"), Version: -1, Algo: q.Get("algo")})
 	if spec.GraphID == "" {
 		return spec, fmt.Errorf("missing ?graph=")
-	}
-	if spec.Algo == "" {
-		spec.Algo = s.cfg.DefaultAlgo
 	}
 	var err error
 	if v := q.Get("version"); v != "" {
@@ -692,18 +686,14 @@ func (s *Service) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if req.Version != nil {
 		version = *req.Version
 	}
-	algoName := req.Algo
-	if algoName == "" {
-		algoName = s.cfg.DefaultAlgo
-	}
 	if err := validateAlgoOptions(req.Lambda, req.Memory); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	spec := SolveSpec{
-		GraphID: req.Graph, Version: version, Algo: algoName,
+	spec := s.withDefaultAlgo(SolveSpec{
+		GraphID: req.Graph, Version: version, Algo: req.Algo,
 		Lambda: req.Lambda, Seed: req.Seed, Memory: req.Memory,
-	}
+	})
 	if cap(scratch.out) < len(req.Queries) {
 		scratch.out = make([]BatchResult, len(req.Queries))
 	}

@@ -107,6 +107,7 @@ func (j *Job) set(status JobStatus, result *Labeling, cached bool, err error) {
 // queue, so a concurrent Close yields an error here, never a send on a
 // closed channel.
 func (s *Service) Submit(spec SolveSpec) (*Job, error) {
+	spec = s.withDefaultAlgo(spec)
 	if _, _, err := s.Lookup(spec); err != nil {
 		return nil, err // unknown graph or algorithm
 	}

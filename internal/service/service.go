@@ -965,7 +965,8 @@ type SolveSpec struct {
 	// snapshot, so the zero value of SolveSpec pins the base — HTTP
 	// handlers default an absent version parameter to LatestVersion.
 	Version int
-	// Algo is a registered algorithm name (see algo.Names).
+	// Algo is a registered algorithm name (see algo.Names); empty
+	// selects Config.DefaultAlgo.
 	Algo string
 	// Lambda, Seed, Memory are the algo.Options fields that affect the
 	// labeling (Workers never does, so it is not part of the cache key).
@@ -1011,6 +1012,7 @@ func (s *Service) cacheKey(digest [sha256Len]byte, spec SolveSpec) (labelingKey,
 //
 //wcc:hotpath
 func (s *Service) Lookup(spec SolveSpec) (*Labeling, bool, error) {
+	spec = s.withDefaultAlgo(spec)
 	if err := validateSpec(spec); err != nil {
 		return nil, false, err
 	}
@@ -1061,6 +1063,17 @@ func (s *Service) Solve(spec SolveSpec) (*Labeling, error) {
 	return l, err
 }
 
+// withDefaultAlgo resolves an empty SolveSpec.Algo to Config.DefaultAlgo.
+// Every entry point that takes a spec goes through it, so in-process
+// callers and the HTTP layer get the same default, and the resolved
+// name is what cache keys, job records and error messages carry.
+func (s *Service) withDefaultAlgo(spec SolveSpec) SolveSpec {
+	if spec.Algo == "" {
+		spec.Algo = s.cfg.DefaultAlgo
+	}
+	return spec
+}
+
 // validateSpec rejects option values that would poison the cache: a NaN
 // lambda compares unequal to itself, so a labeling keyed under it could
 // never be looked up again — and, worse, never deleted, which would turn
@@ -1077,6 +1090,7 @@ func validateSpec(spec SolveSpec) error {
 // solve also reports whether the labeling came from the cache (directly
 // or by incremental fast-forward — either way no algorithm ran).
 func (s *Service) solve(spec SolveSpec) (*Labeling, bool, error) {
+	spec = s.withDefaultAlgo(spec)
 	if err := validateSpec(spec); err != nil {
 		return nil, false, err
 	}
@@ -1183,6 +1197,7 @@ func IsNotSolved(err error) bool {
 }
 
 func (s *Service) cached(spec SolveSpec) (*Labeling, error) {
+	spec = s.withDefaultAlgo(spec)
 	s.counters.queries.Add(1)
 	l, ok, err := s.Lookup(spec)
 	if err != nil {
@@ -1288,6 +1303,7 @@ func (s *Service) Query(spec SolveSpec, qs []BatchQuery, out []BatchResult) (*La
 	if len(out) < len(qs) {
 		return nil, fmt.Errorf("service: batch result buffer too small (%d < %d)", len(out), len(qs))
 	}
+	spec = s.withDefaultAlgo(spec)
 	s.counters.queries.Add(int64(len(qs)))
 	s.counters.batchQueries.Add(1)
 	l, ok, err := s.Lookup(spec)

@@ -481,3 +481,45 @@ func TestDigestIsContentAddressed(t *testing.T) {
 		t.Fatalf("digest length %d, want 64 hex chars", len(digestOf(g1)))
 	}
 }
+
+// TestEmptyAlgoSelectsDefault: an in-process SolveSpec without an
+// algorithm resolves to Config.DefaultAlgo exactly as the HTTP layer's
+// algo-less requests do — Solve runs it, and single and batch queries
+// with an empty Algo answer from the same cached labeling.
+func TestEmptyAlgoSelectsDefault(t *testing.T) {
+	s := New(Config{JobWorkers: 1, CacheEntries: 4, DefaultAlgo: "boruvka"})
+	t.Cleanup(s.Close)
+	sg, err := s.Load("g", strings.NewReader(twoComponents))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := SolveSpec{GraphID: sg.ID, Version: -1}
+	l, err := s.Solve(spec)
+	if err != nil {
+		t.Fatalf("Solve with an empty algo: %v", err)
+	}
+	if l.Algo != "boruvka" || l.Components != 2 {
+		t.Fatalf("solved with algo %q into %d components, want boruvka and 2", l.Algo, l.Components)
+	}
+	named, err := s.Solve(SolveSpec{GraphID: sg.ID, Version: -1, Algo: "boruvka"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if named != l {
+		t.Fatal("the explicitly named default did not share the algo-less labeling")
+	}
+	if same, err := s.SameComponent(spec, 0, 5); err != nil || !same {
+		t.Fatalf("SameComponent(0,5) with an empty algo = %v, %v", same, err)
+	}
+	out := make([]BatchResult, 2)
+	qs := []BatchQuery{{Op: OpSameComponent, U: 0, V: 9}, {Op: OpComponentCount}}
+	if _, err := s.Query(spec, qs, out); err != nil {
+		t.Fatalf("Query with an empty algo: %v", err)
+	}
+	if out[0].Same || out[1].Components != 2 {
+		t.Fatalf("batch answers %+v, want 0/9 apart and 2 components", out)
+	}
+	if c := s.Counters(); c.Solves != 1 {
+		t.Fatalf("%d solves, want 1: every algo-less call should share one labeling", c.Solves)
+	}
+}

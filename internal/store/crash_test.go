@@ -18,9 +18,11 @@ import (
 // to a prefix of the reference lineage — the pre-batch or post-batch
 // state of whichever append was in flight, never a third thing.
 //
-// The workload is sized to cross the retention window (RetainVersions=3,
-// six appends, SyncCompaction), so the sweep covers both compaction
-// renames and the snapshot rewrite, not just the WAL append path.
+// The workload is sized to cross the amortized compaction trigger
+// (RetainVersions=3, SyncCompaction: the fifth append brings the WAL to
+// 2R−1 batches and compacts, the sixth lands behind the new snapshot),
+// so the sweep covers both compaction renames and the snapshot rewrite,
+// not just the WAL append path.
 
 // sweepN is the vertex count of the sweep's base path graph.
 const sweepN = 8

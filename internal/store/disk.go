@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -39,6 +40,13 @@ import (
 // On open every surviving record's chained version digest is
 // re-verified against the lineage, so silent corruption cannot replay
 // into a wrong graph.
+//
+// The WAL holds the batches above the snapshot's version: between
+// RetainVersions−1 and 2·RetainVersions−2 of them once a compaction has
+// run (fewer before the first), and more only while a triggered
+// compaction is still pending or in flight. Compaction rewrites
+// snapshot.* first and wal.log second, so the WAL may transiently hold
+// batches at or below the snapshot's version; replay skips them.
 const (
 	snapMagic = "WCCSNAP1"
 	walMagic  = "WCCWAL1\n"
@@ -72,8 +80,8 @@ type snapMeta struct {
 
 // Disk is the durable Store: per-graph snapshot + WAL under one data
 // directory, with LRU eviction deleting graph directories and a
-// compaction worker folding WAL batches that outgrow the retained
-// version window into a fresh snapshot.
+// compaction worker folding WAL batches into a fresh snapshot once a
+// full extra retained window has accumulated (see needsCompaction).
 type Disk struct {
 	dir string
 	cfg Config
@@ -159,8 +167,8 @@ func Open(dir string, cfg Config) (*Disk, error) {
 	}
 	s.wg.Add(1)
 	go s.compactor()
-	// Anything already past the window (e.g. killed before a pending
-	// compaction) is folded now.
+	// Anything already past the compaction trigger (e.g. killed before a
+	// pending compaction) is folded now.
 	for _, rec := range recs {
 		s.maybeCompact(rec.meta.ID, rec)
 	}
@@ -316,32 +324,6 @@ func (s *Disk) openMapped(path string) (*mappedHandle, error) {
 	return newMappedHandle(m, mg), nil
 }
 
-// writeMappedAtomic streams base ∪ delta as a WCCM1 file via temp file
-// + fsync + rename — writeFileAtomic's contract without ever holding
-// the encoded snapshot (or the graph) in memory.
-func (s *Disk) writeMappedAtomic(path string, base graph.View, n int, delta []graph.Edge, meta []byte) error {
-	tmp := path + ".tmp"
-	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := graph.WriteMappedView(f, base, n, delta, meta); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		s.fs.Remove(tmp)
-		return err
-	}
-	return s.fs.Rename(tmp, path)
-}
-
 // replayWAL reads the graph's WAL into rec, truncating a torn tail, and
 // returns the file reopened for appending along with its verified length.
 func (s *Disk) replayWAL(gdir string, rec *record) (*walState, error) {
@@ -461,30 +443,50 @@ func encodeSnapshot(sm snapMeta, g *graph.Graph) ([]byte, error) {
 	return append(payload, sum[:]...), nil
 }
 
-// writeFileAtomic writes data to path via a temp file + fsync + rename.
-// The leftover .tmp of a failed attempt is removed best-effort — load
-// never reads it, so a crash between write and cleanup costs only disk.
-func (s *Disk) writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// writeAtomic writes path via a temp file + fsync + rename, so readers
+// see the old file or the whole new one, never a torn one.
+func (s *Disk) writeAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := s.writeTemp(path, write)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	return s.fs.Rename(tmp, path)
+}
+
+// writeBytes is a writeTemp body that writes data verbatim.
+func writeBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
+}
+
+// writeTemp is the first half of an atomic file write: it creates
+// path+".tmp", fills it with write, fsyncs and closes it, and returns
+// the temp path for the caller to rename into place. The leftover .tmp
+// of a failed attempt is removed best-effort — load never reads it, so
+// a crash between write and cleanup costs only disk.
+func (s *Disk) writeTemp(path string, write func(io.Writer) error) (string, error) {
+	tmp := path + ".tmp"
+	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return "", err
+	}
+	if err := write(f); err != nil {
 		f.Close()
 		s.fs.Remove(tmp)
-		return err
+		return "", err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		s.fs.Remove(tmp)
-		return err
+		return "", err
 	}
 	if err := f.Close(); err != nil {
 		s.fs.Remove(tmp)
-		return err
+		return "", err
 	}
-	return s.fs.Rename(tmp, path)
+	return tmp, nil
 }
 
 // syncDir flushes directory metadata (renames, creates); best-effort on
@@ -517,7 +519,9 @@ func (s *Disk) Put(meta Meta, base *graph.Graph, v0 Version) ([]string, error) {
 			return nil, err
 		}
 		mpath := filepath.Join(gdir, mapFile)
-		if err := s.writeMappedAtomic(mpath, base, base.N(), nil, metaRaw); err != nil {
+		if err := s.writeAtomic(mpath, func(w io.Writer) error {
+			return graph.WriteMappedView(w, base, base.N(), nil, metaRaw)
+		}); err != nil {
 			return nil, err
 		}
 		h, err := s.openMapped(mpath)
@@ -531,7 +535,7 @@ func (s *Disk) Put(meta Meta, base *graph.Graph, v0 Version) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.writeFileAtomic(filepath.Join(gdir, snapFile), snap); err != nil {
+		if err := s.writeAtomic(filepath.Join(gdir, snapFile), writeBytes(snap)); err != nil {
 			return nil, err
 		}
 	}
@@ -662,11 +666,21 @@ func (s *Disk) rollbackWAL(id string, ws *walState) {
 	}
 }
 
+// needsCompaction is the amortized trigger: compact only once the WAL
+// holds a full extra window — 2R−1 batches on top of the snapshot, for
+// R = RetainVersions. Folding to the oldest retained version then leaves
+// R−1 batches, so a graph rewrites its O(n+m) snapshot once per R
+// appends instead of once per append, and the WAL stays bounded at 2R−2
+// batches between compactions. Callers hold r.mu.
+func (s *Disk) needsCompaction(r *record) bool {
+	return len(r.batches)+1 > 2*s.cfg.RetainVersions-1
+}
+
 // maybeCompact schedules (or, with SyncCompaction, runs) a compaction
-// if the graph's WAL has outgrown the retained version window.
+// if the graph's WAL has crossed the amortized trigger.
 func (s *Disk) maybeCompact(id string, r *record) {
 	r.mu.Lock()
-	over := len(r.batches)+1 > s.cfg.RetainVersions
+	over := s.needsCompaction(r)
 	r.mu.Unlock()
 	if !over {
 		return
@@ -702,90 +716,110 @@ func (s *Disk) compactor() {
 	}
 }
 
+// errEvicted aborts a compaction whose record was evicted (and possibly
+// re-stored under the same content address) while its snapshot was
+// being written; compact reports it as a no-op.
+var errEvicted = errors.New("store: record evicted during compaction")
+
+// renameLive renames a compaction's temp file into place, and then
+// removes stale (the other snapshot format, or "" for none), only while
+// r is still the live record for id. Compaction writes its snapshot
+// without any lock held, so an eviction — and a Put of the same content
+// address into a fresh directory — can happen meanwhile; without the
+// check the stale lineage would overwrite the new record's files. Put
+// holds s.mu for its whole write, so the check and the rename are atomic
+// with respect to it.
+func (s *Disk) renameLive(id string, r *record, tmp, path, stale string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.t.recs[id] != r {
+		s.fs.Remove(tmp)
+		return errEvicted
+	}
+	if err := s.fs.Rename(tmp, path); err != nil {
+		return err
+	}
+	if stale != "" {
+		s.fs.Remove(stale)
+	}
+	return nil
+}
+
 // compact folds every WAL batch older than the retained window into a
 // fresh snapshot at the window's oldest version, then rewrites the WAL
-// with only the remaining batches. Runs under the record lock: appends
-// to this graph stall for one materialization + two file writes, other
-// graphs are unaffected. Crash-safe: the snapshot lands first (old WAL
-// records it already covers are skipped on open by their version), the
-// WAL rename second. A failure leaves the pre-compaction files fully
-// valid — the error is reported so a persistently failing compaction
-// (ENOSPC) is visible instead of a silently growing WAL.
+// with only the batches newer than it. It runs in three steps so that
+// neither appends nor readers of the graph wait for the O(n+m) snapshot
+// rewrite:
+//
+//  1. Under r.mu: re-check the trigger (a stale or duplicate request is
+//     a no-op), claim the record's single compaction slot, pin the
+//     base, and capture the target version with its prefix of
+//     r.appended. The prefix is append-only, so it stays valid once the
+//     lock is released.
+//  2. Unlocked: build the snapshot — materialize and encode WCCB1, or
+//     stream WCCM1 straight off the base view — then fsync and rename
+//     it into place.
+//  3. Under r.mu again: rewrite the WAL with every batch newer than the
+//     target, including any appended during step 2; fsync, rename,
+//     sync the directory, and swap the in-memory state.
+//
+// Crash-safe: the snapshot rename lands first (old WAL records it
+// already covers are skipped on open by their version), the WAL rename
+// second. A failure leaves the pre-compaction files fully valid — the
+// error is reported so a persistently failing compaction (ENOSPC) is
+// visible instead of a silently growing WAL.
 func (s *Disk) compact(id string) error {
 	s.mu.Lock()
 	r, ok := s.t.recs[id]
-	ws := s.wals[id]
 	s.mu.Unlock()
 	if !ok {
 		return nil // evicted while queued
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	w := r.window(s.cfg.RetainVersions)
-	target := w[0]
-	if target.Version == r.snapVer.Version {
+	if r.compacting || !s.needsCompaction(r) {
+		r.mu.Unlock()
 		return nil
 	}
-	// Pin the base for the whole compaction: a concurrent eviction may
-	// drop the store's reference on the mapping mid-stream, and these
-	// scans must keep their pages until done.
-	base, unpin, ok := r.pinBase()
-	if !ok {
-		return nil // evicted; nothing left to compact
-	}
-	defer unpin()
-	gdir := filepath.Join(s.dir, id)
+	target := r.window(s.cfg.RetainVersions)[0]
 	targetOff, err := r.offOf(target.Version, s.cfg.RetainVersions)
 	if err != nil {
+		r.mu.Unlock()
 		return err
 	}
+	// Pin the base for the unlocked write: a concurrent eviction may drop
+	// the store's reference on the mapping mid-stream, and these scans
+	// must keep their pages until done.
+	base, unpin, ok := r.pinBase()
+	if !ok {
+		r.mu.Unlock()
+		return nil // evicted; nothing left to compact
+	}
+	r.compacting = true
+	prefix := r.appended[:targetOff]
+	baseMapped := r.mapped != nil
+	r.mu.Unlock()
+
 	sm := snapMeta{Meta: r.meta, Seq: r.seq, Ver: target}
-	var newSnap *graph.Graph
-	var newHandle *mappedHandle
-	if s.mappedFor(target.M) {
-		// Out-of-core target: stream base ∪ pre-window batches straight
-		// into a new WCCM1 file — the compaction never materializes the
-		// graph, so folding a snapshot larger than RAM stays O(n+delta).
-		metaRaw, err := json.Marshal(sm)
-		if err != nil {
-			return fmt.Errorf("encode snapshot meta: %w", err)
-		}
-		mpath := filepath.Join(gdir, mapFile)
-		if err := s.writeMappedAtomic(mpath, base, target.N, r.appended[:targetOff], metaRaw); err != nil {
-			return fmt.Errorf("write snapshot: %w", err)
-		}
-		newHandle, err = s.openMapped(mpath)
-		if err != nil {
-			return fmt.Errorf("map snapshot: %w", err)
-		}
-		if r.snap != nil {
-			// This compaction switched formats; the binary snapshot is
-			// stale (open would prefer the higher-versioned map anyway).
-			s.fs.Remove(filepath.Join(gdir, snapFile))
-		}
-	} else {
-		newSnap, err = r.materializeLocked(target.Version, s.cfg.RetainVersions)
-		if err != nil {
-			return fmt.Errorf("materialize version %d: %w", target.Version, err)
-		}
-		snap, err := encodeSnapshot(sm, newSnap)
-		if err != nil {
-			return fmt.Errorf("encode snapshot: %w", err)
-		}
-		if err := s.writeFileAtomic(filepath.Join(gdir, snapFile), snap); err != nil {
-			return fmt.Errorf("write snapshot: %w", err)
-		}
-		if r.mapped != nil {
-			// Format switch in the shrinking direction (threshold raised
-			// across a restart); the mapped snapshot is stale.
-			s.fs.Remove(filepath.Join(gdir, mapFile))
-		}
+	newSnap, newHandle, err := s.writeCompactedSnapshot(id, r, sm, base, baseMapped, prefix)
+	unpin()
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.compacting = false
+	if errors.Is(err, errEvicted) {
+		return nil
+	}
+	if err != nil {
+		return err
 	}
 	// A failure past this point keeps the old record state; the freshly
 	// mapped handle must not leak.
 	fail := func(err error) error {
 		if newHandle != nil {
 			newHandle.release()
+		}
+		if errors.Is(err, errEvicted) {
+			return nil
 		}
 		return err
 	}
@@ -804,11 +838,17 @@ func (s *Disk) compact(id string) error {
 		}
 		prevOff = b.off
 	}
-	if err := s.writeFileAtomic(filepath.Join(gdir, walFile), walData); err != nil {
+	gdir := filepath.Join(s.dir, id)
+	walPath := filepath.Join(gdir, walFile)
+	tmp, err := s.writeTemp(walPath, writeBytes(walData))
+	if err != nil {
+		return fail(fmt.Errorf("write wal: %w", err))
+	}
+	if err := s.renameLive(id, r, tmp, walPath, ""); err != nil {
 		return fail(fmt.Errorf("write wal: %w", err))
 	}
 	s.syncDir(gdir)
-	newWal, err := s.fs.OpenFile(filepath.Join(gdir, walFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	newWal, err := s.fs.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fail(fmt.Errorf("reopen wal: %w", err))
 	}
@@ -822,28 +862,90 @@ func (s *Disk) compact(id string) error {
 	r.appended = append([]graph.Edge(nil), r.appended[targetOff:]...)
 	r.batches = kept
 	s.mu.Lock()
-	if s.wals[id] == ws {
-		s.wals[id] = &walState{f: newWal, size: int64(len(walData))}
-		ws.f.Close()
-	} else {
-		newWal.Close() // record was evicted/replaced mid-compaction
-	}
-	if s.t.recs[id] == r {
-		if oldHandle != nil {
-			oldHandle.release() // the store reference moves off the old mapping
-		}
+	defer s.mu.Unlock()
+	ws, live := s.wals[id]
+	if !live || s.t.recs[id] != r {
+		// Evicted after the WAL rename: the eviction already closed the
+		// WAL and released the old store reference; the fresh handles
+		// are orphans.
+		newWal.Close()
 		if newHandle != nil {
-			s.maps[id] = newHandle
-		} else {
-			delete(s.maps, id)
+			newHandle.release()
 		}
-	} else if newHandle != nil {
-		// Evicted mid-compaction: the eviction already released the old
-		// store reference; the fresh mapping is an orphan.
-		newHandle.release()
+		return nil
 	}
-	s.mu.Unlock()
+	s.wals[id] = &walState{f: newWal, size: int64(len(walData))}
+	ws.f.Close()
+	if oldHandle != nil {
+		oldHandle.release() // the store reference moves off the old mapping
+	}
+	if newHandle != nil {
+		s.maps[id] = newHandle
+	} else {
+		delete(s.maps, id)
+	}
 	return nil
+}
+
+// writeCompactedSnapshot is compact's unlocked step: it writes base ∪
+// prefix at sm.Ver as the graph's new snapshot, in the format its edge
+// count calls for, and returns the new in-memory base — a resident
+// graph or a mapping of the file just written. The rename goes through
+// renameLive, which also removes the old format's file when the base's
+// format (baseMapped) differs from the one this snapshot is written in.
+func (s *Disk) writeCompactedSnapshot(id string, r *record, sm snapMeta, base graph.View, baseMapped bool, prefix []graph.Edge) (*graph.Graph, *mappedHandle, error) {
+	gdir := filepath.Join(s.dir, id)
+	target := sm.Ver
+	if s.mappedFor(target.M) {
+		// Out-of-core target: stream base ∪ pre-window batches straight
+		// into a new WCCM1 file — the compaction never materializes the
+		// graph, so folding a snapshot larger than RAM stays O(n+delta).
+		metaRaw, err := json.Marshal(sm)
+		if err != nil {
+			return nil, nil, fmt.Errorf("encode snapshot meta: %w", err)
+		}
+		mpath := filepath.Join(gdir, mapFile)
+		tmp, err := s.writeTemp(mpath, func(w io.Writer) error {
+			return graph.WriteMappedView(w, base, target.N, prefix, metaRaw)
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("write snapshot: %w", err)
+		}
+		stale := ""
+		if !baseMapped {
+			// This compaction switched formats; the binary snapshot is
+			// stale (open would prefer the higher-versioned map anyway).
+			stale = filepath.Join(gdir, snapFile)
+		}
+		if err := s.renameLive(id, r, tmp, mpath, stale); err != nil {
+			return nil, nil, fmt.Errorf("write snapshot: %w", err)
+		}
+		h, err := s.openMapped(mpath)
+		if err != nil {
+			return nil, nil, fmt.Errorf("map snapshot: %w", err)
+		}
+		return nil, h, nil
+	}
+	g := buildVersion(base, target.N, target.M, prefix)
+	snap, err := encodeSnapshot(sm, g)
+	if err != nil {
+		return nil, nil, fmt.Errorf("encode snapshot: %w", err)
+	}
+	spath := filepath.Join(gdir, snapFile)
+	tmp, err := s.writeTemp(spath, writeBytes(snap))
+	if err != nil {
+		return nil, nil, fmt.Errorf("write snapshot: %w", err)
+	}
+	stale := ""
+	if baseMapped {
+		// Format switch in the shrinking direction (threshold raised
+		// across a restart); the mapped snapshot is stale.
+		stale = filepath.Join(gdir, mapFile)
+	}
+	if err := s.renameLive(id, r, tmp, spath, stale); err != nil {
+		return nil, nil, fmt.Errorf("write snapshot: %w", err)
+	}
+	return g, nil, nil
 }
 
 func (s *Disk) Versions(id string) ([]Version, error) {

@@ -203,8 +203,11 @@ func TestDiskChainBreak(t *testing.T) {
 
 // TestDiskCompactionPersists: after enough appends to trigger
 // compaction, the on-disk snapshot has been rebased past version 0, the
-// WAL holds only the window's batches, and a reopen still serves the
-// identical retained lineage.
+// WAL holds only the batches above it, and a reopen still serves the
+// identical retained lineage. With RetainVersions=3 the amortized
+// trigger fires on the fifth append (2R−1 batches) and folds to that
+// moment's oldest retained version, 3; the sixth append only lands in
+// the WAL.
 func TestDiskCompactionPersists(t *testing.T) {
 	dir := t.TempDir()
 	s := openDisk(t, dir, Config{RetainVersions: 3, SyncCompaction: true})
@@ -221,10 +224,10 @@ func TestDiskCompactionPersists(t *testing.T) {
 	}
 	s.Close()
 
-	// The snapshot file now materializes version 4 directly (its meta
+	// The snapshot file now materializes version 3 directly (its meta
 	// says so), and the WAL is shorter than a full history would be.
 	raw := rawReadFile(t, filepath.Join(dir, m.ID, snapFile))
-	if !bytes.Contains(raw, []byte(`"version":4`)) {
+	if !bytes.Contains(raw, []byte(`"version":3`)) {
 		t.Error("snapshot metadata does not carry the compacted version")
 	}
 

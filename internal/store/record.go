@@ -37,6 +37,10 @@ type record struct {
 	// until the next append); the snapshot itself covers the oldest.
 	cache    *graph.Graph
 	cacheVer int
+	// compacting marks a disk compaction in flight for this record; it
+	// keeps a second one (a queued duplicate request, a SyncCompaction
+	// appender, the pass in Open) from folding the same batches twice.
+	compacting bool
 }
 
 type batchMeta struct {
@@ -100,16 +104,6 @@ func (r *record) pinBase() (v graph.View, release func(), ok bool) {
 		return nil, nil, false
 	}
 	return r.mapped.g, r.mapped.release, true
-}
-
-// baseView is pinBase for callers that stay under r.mu and inside the
-// store's own lifecycle (compaction), where the record reference
-// itself keeps the mapping alive.
-func (r *record) baseView() graph.View {
-	if r.mapped != nil {
-		return r.mapped.g
-	}
-	return r.snap
 }
 
 // window returns the retained version lineage, oldest first: the
@@ -237,13 +231,8 @@ func (r *record) materializeLocked(version, retain int) (*graph.Graph, error) {
 		return nil, fmt.Errorf("%w: graph %s evicted", ErrNotFound, r.meta.ID)
 	}
 	info := r.infoOf(version)
-	b := graph.NewBuilderHint(info.N, info.M)
-	graph.ForEachEdgeView(base, func(e graph.Edge) { b.AddEdge(e.U, e.V) })
+	g := buildVersion(base, info.N, info.M, r.appended[:off])
 	unpin()
-	for _, e := range r.appended[:off] {
-		b.AddEdge(e.U, e.V)
-	}
-	g := b.Build()
 	// Cache only the newest materialization: streams solve the tip, and
 	// one snapshot bounds the extra memory to O(n+m) per graph. (For a
 	// mapped record even the snapshot version is a build, so it gets
@@ -256,6 +245,17 @@ func (r *record) materializeLocked(version, retain int) (*graph.Graph, error) {
 		r.cache, r.cacheVer = g, version
 	}
 	return g, nil
+}
+
+// buildVersion materializes base ∪ delta as a fresh CSR graph on n
+// vertices with m edges (the version's shape, used as a capacity hint).
+func buildVersion(base graph.View, n, m int, delta []graph.Edge) *graph.Graph {
+	b := graph.NewBuilderHint(n, m)
+	graph.ForEachEdgeView(base, func(e graph.Edge) { b.AddEdge(e.U, e.V) })
+	for _, e := range delta {
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build()
 }
 
 // viewLocked returns a graph.View of a retained version without

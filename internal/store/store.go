@@ -7,9 +7,12 @@
 // Memory (NewMemory) is the original in-process map: nothing survives a
 // restart. Disk (Open) is durable: each graph keeps a binary CSR
 // snapshot file plus an fsync'd append-only write-ahead log of edge
-// batches, both digest-verified on open, with compaction folding WAL
-// batches into a fresh snapshot once they outgrow the retained version
-// window. A wccserve restarted on the same data directory rebuilds the
+// batches, both digest-verified on open. Compaction is amortized: once
+// the WAL holds a full extra retained window of batches, a background
+// pass folds the batches below the window into a fresh snapshot, writing
+// it without holding the graph's lock, so a graph rewrites its snapshot
+// once per RetainVersions appends and appends never wait for that
+// rewrite. A wccserve restarted on the same data directory rebuilds the
 // exact graphs, versions, and digests it served before the kill.
 //
 // Both backends share the same semantics, enforced by one conformance
@@ -72,8 +75,11 @@ type Config struct {
 	// RetainVersions is the length of the retained version window per
 	// graph (the service passes MaxVersionGap+1). Versions that fall
 	// out of the window can no longer be materialized or used as
-	// fast-forward anchors; the disk backend compacts their WAL batches
-	// into the snapshot. Zero or negative selects 65 (gap 64).
+	// fast-forward anchors. The disk backend folds their WAL batches
+	// into the snapshot once 2R−1 batches sit on top of it (R =
+	// RetainVersions), leaving R−1: its WAL stays bounded at about 2R
+	// batches while the window is the same R versions the memory
+	// backend serves. Zero or negative selects 65 (gap 64).
 	RetainVersions int
 	// SyncCompaction makes the disk backend compact inline during
 	// Append instead of on the background goroutine — deterministic
